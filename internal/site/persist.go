@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/relation"
 )
@@ -13,25 +14,33 @@ import (
 // Snapshot durability: a site can persist its stored relations to disk
 // and restore them at startup, so a restarted warehouse site comes back
 // with its partition intact without re-ingesting or regenerating. The
-// snapshot format is a single gob stream (a header plus the relation
-// map), written atomically via a temp file + rename.
+// snapshot format is a gob stream of two values — a header, then the
+// relation map in the relations' columnar wire form — written atomically
+// via a temp file + rename.
 
 // snapshotMagic guards against restoring something that is not a Skalla
-// snapshot.
-const snapshotMagic = "skalla-site-snapshot-v1"
+// snapshot, or one written in another format version: v1 files carried
+// row-wise gob relations in a single value.
+const (
+	snapshotMagicPrefix = "skalla-site-snapshot-"
+	snapshotMagic       = snapshotMagicPrefix + "v2"
+)
 
-type snapshotFile struct {
+// snapshotHeader is the first value of the stream. Its fields are also
+// the leading fields of the v1 single-value layout, so decoding a v1 file
+// into it yields the magic that names its version.
+type snapshotHeader struct {
 	Magic  string
 	SiteID string
-	Rels   map[string]*relation.Relation
 }
 
 // Snapshot writes every stored relation to path, atomically.
 func (e *Engine) Snapshot(path string) error {
 	e.mu.RLock()
-	snap := snapshotFile{Magic: snapshotMagic, SiteID: e.id, Rels: make(map[string]*relation.Relation, len(e.rels))}
+	hdr := snapshotHeader{Magic: snapshotMagic, SiteID: e.id}
+	rels := make(map[string]*relation.Relation, len(e.rels))
 	for name, rel := range e.rels {
-		snap.Rels[name] = rel
+		rels[name] = rel
 	}
 	e.mu.RUnlock()
 
@@ -44,7 +53,12 @@ func (e *Engine) Snapshot(path string) error {
 	defer os.Remove(tmpName) // no-op after successful rename
 
 	w := bufio.NewWriter(tmp)
-	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
+	enc := gob.NewEncoder(w)
+	err = enc.Encode(&hdr)
+	if err == nil {
+		err = enc.Encode(rels)
+	}
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("site: snapshot encode: %w", err)
 	}
@@ -68,15 +82,24 @@ func (e *Engine) Restore(path string) error {
 		return fmt.Errorf("site: restore: %w", err)
 	}
 	defer f.Close()
-	var snap snapshotFile
-	if err := gob.NewDecoder(bufio.NewReader(f)).Decode(&snap); err != nil {
+	dec := gob.NewDecoder(bufio.NewReader(f))
+	var hdr snapshotHeader
+	if err := dec.Decode(&hdr); err != nil {
 		return fmt.Errorf("site: restore decode: %w", err)
 	}
-	if snap.Magic != snapshotMagic {
+	if hdr.Magic != snapshotMagic {
+		if v, ok := strings.CutPrefix(hdr.Magic, snapshotMagicPrefix); ok {
+			return fmt.Errorf("site: %s is a snapshot format %s, this build reads %s only",
+				path, v, strings.TrimPrefix(snapshotMagic, snapshotMagicPrefix))
+		}
 		return fmt.Errorf("site: %s is not a site snapshot", path)
 	}
+	var rels map[string]*relation.Relation
+	if err := dec.Decode(&rels); err != nil {
+		return fmt.Errorf("site: restore decode: %w", err)
+	}
 	e.mu.Lock()
-	e.rels = snap.Rels
+	e.rels = rels
 	if e.rels == nil {
 		e.rels = map[string]*relation.Relation{}
 	}

@@ -572,7 +572,7 @@ func (e *Engine) handle(ctx context.Context, req *transport.Request, prof *trans
 	}
 	switch req.Op {
 	case transport.OpPing:
-		return &transport.Response{}, nil
+		return &transport.Response{Version: transport.ProtocolVersion}, nil
 
 	case transport.OpLoad:
 		if req.Data == nil || req.Data.Schema == nil {

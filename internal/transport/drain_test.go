@@ -2,11 +2,16 @@ package transport
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 // waitUntil polls cond for up to 5s.
@@ -144,5 +149,56 @@ func TestServerDrainIdle(t *testing.T) {
 	// Close after Drain stays clean (listener already closed).
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close after drain: %v", err)
+	}
+}
+
+// bigResponseHandler answers every request with a response far larger
+// than the socket buffers, so writing it blocks until the peer reads.
+type bigResponseHandler struct{}
+
+func (bigResponseHandler) Handle(ctx context.Context, req *Request) *Response {
+	rel := relation.New(relation.MustSchema(relation.Column{Name: "s", Kind: value.KindString}))
+	rel.MustAppend(value.NewString(strings.Repeat("x", 16<<20)))
+	return &Response{Rel: rel}
+}
+
+// TestServerDrainWaitsForResponseWrite: a request whose handler has
+// returned but whose response is still being written counts as in
+// flight, so Drain waits for the write instead of closing the connection
+// under it.
+func TestServerDrainWaitsForResponseWrite(t *testing.T) {
+	srv := NewServer(bigResponseHandler{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := gob.NewEncoder(conn).Encode(&Request{Op: OpEvalRounds}); err != nil {
+		t.Fatal(err)
+	}
+	// The handler returns at once; the response write then blocks
+	// because nobody reads it yet.
+	waitUntil(t, "handler done", func() bool { return srv.Served() == 1 && srv.Inflight() == 0 })
+
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(5 * time.Second) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("drain finished (%v) with a response still unwritten", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	var resp Response
+	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatalf("response lost during drain: %v", err)
+	}
+	if resp.Rel == nil || len(resp.Rel.Rows[0][0].S) != 16<<20 {
+		t.Fatal("response truncated")
+	}
+	if err := <-drained; err != nil {
+		t.Errorf("drain: %v", err)
 	}
 }

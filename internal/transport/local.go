@@ -13,9 +13,10 @@ import (
 )
 
 // LocalClient connects the coordinator to an in-process site handler. It
-// still round-trips every request and response through gob so that (a)
-// byte accounting is identical to the TCP transport and (b) no memory is
-// shared between coordinator and site, exactly as over a real network.
+// still round-trips every request and response through gob — envelope
+// and columnar relation payloads alike — so that (a) byte accounting is
+// identical to the TCP transport and (b) no memory is shared between
+// coordinator and site, exactly as over a real network.
 type LocalClient struct {
 	id      string
 	handler Handler
@@ -85,6 +86,13 @@ func (c *LocalClient) Call(ctx context.Context, req *Request) (*Response, error)
 		go func() { ch <- c.handler.Handle(ctx, wireReq) }()
 		select {
 		case resp = <-ch:
+			// A context-aware handler returns early when ctx is
+			// cancelled; its answer is then a by-product of the
+			// cancellation, so report the cancellation, just as when
+			// the ctx.Done case wins the select.
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("transport: %s: %w", c.id, err)
+			}
 		case <-ctx.Done():
 			return nil, fmt.Errorf("transport: %s: %w", c.id, ctx.Err())
 		}

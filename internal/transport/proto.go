@@ -6,9 +6,10 @@
 // behavior on a single machine.
 //
 // Expressions, aggregate specs, and conditions travel in their textual
-// wire form and are parsed at the receiving side; rows travel as plain
-// value structs. Only base-result structures and sub-aggregate results are
-// ever shipped — never detail data, per the core design of the paper.
+// wire form and are parsed at the receiving side; relations travel in
+// their own columnar binary form (relation.Relation.GobEncode), nested in
+// the gob envelope. Only base-result structures and sub-aggregate results
+// are ever shipped — never detail data, per the core design of the paper.
 package transport
 
 import (
@@ -37,7 +38,39 @@ var (
 	// evaluation — the coordinator will never read the answer, so the
 	// site shed the doomed work instead of computing it.
 	ErrExpired = errors.New("transport: request deadline expired")
+	// ErrProtocol: the peer speaks a different wire protocol version
+	// (see ProtocolVersion); its relation payloads cannot be exchanged.
+	ErrProtocol = errors.New("transport: protocol version mismatch")
 )
+
+// ProtocolVersion identifies the wire protocol: the envelope fields and
+// the relation payload format. Sites report it on OpPing so coordinators
+// refuse a mismatched peer before any eval round. Sites built before the
+// version existed answer 0 (gob omits the zero field); they shipped
+// relations as row-wise gob structs.
+const ProtocolVersion = 1
+
+// Ping checks that the site behind cl is alive and speaks
+// ProtocolVersion; a mismatch returns an error wrapping ErrProtocol.
+func Ping(ctx context.Context, cl Client) error {
+	resp, err := cl.Call(ctx, &Request{Op: OpPing})
+	if err != nil {
+		return err
+	}
+	if err := resp.Error(); err != nil {
+		return err
+	}
+	return resp.CheckVersion(cl.SiteID())
+}
+
+// CheckVersion returns an error wrapping ErrProtocol unless the response
+// reports ProtocolVersion; site names the peer in the message.
+func (r *Response) CheckVersion(site string) error {
+	if r.Version != ProtocolVersion {
+		return fmt.Errorf("%s speaks protocol version %d, want %d: %w", site, r.Version, ProtocolVersion, ErrProtocol)
+	}
+	return nil
+}
 
 // Response.Code values classifying site-side errors on the wire.
 const (
@@ -76,7 +109,8 @@ type Op int
 
 // The site protocol operations.
 const (
-	// OpPing checks liveness.
+	// OpPing checks liveness; the response carries the site's
+	// ProtocolVersion.
 	OpPing Op = iota
 	// OpLoad stores the shipped relation under Request.Rel at the site.
 	OpLoad
@@ -250,6 +284,8 @@ type Response struct {
 	// when the request carried a QueryID (nil otherwise, which gob omits,
 	// keeping untagged exchanges wire-identical).
 	Profile *SiteProfile
+	// Version is the site's ProtocolVersion, set on OpPing responses.
+	Version int
 }
 
 // SiteProfile is one site's per-request execution profile, piggy-backed

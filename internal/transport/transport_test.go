@@ -452,3 +452,28 @@ func TestLocalCallCancel(t *testing.T) {
 		t.Error("local call did not honor the deadline")
 	}
 }
+
+// TestTCPCancelAfterReturnSparesNextCall: cancelling a call's context
+// right after the call returned must not leave a deadline poke behind
+// that fails the connection's next call.
+func TestTCPCancelAfterReturnSparesNextCall(t *testing.T) {
+	srv := NewServer(newEchoHandler())
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := DialTCP("s", addr, CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 300; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := c.Call(ctx, &Request{Op: OpPing})
+		cancel()
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+}

@@ -5,7 +5,9 @@
 // The type system is deliberately small — NULL, 64-bit integers, 64-bit
 // floats, booleans, and strings — which matches the attribute types needed
 // by the paper's TPC-R and IP-flow schemas. Values are plain structs with
-// exported fields so they serialize directly with encoding/gob.
+// exported fields so they serialize directly with encoding/gob; relations
+// ship them column by column in their own wire form (see
+// relation.Relation.GobEncode).
 package value
 
 import (

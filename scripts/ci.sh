@@ -34,6 +34,12 @@ go run ./cmd/skalla-lint -timing ./...
 echo "== tests (race) =="
 go test -race ./...
 
+echo "== tests (no race, repeated) =="
+# -race slows execution enough to hide timing bugs (a drain that closed
+# connections under responses still being written passed every -race
+# run), so the concurrency-heavy packages also run plain, many times.
+go test -count=20 ./internal/transport ./internal/core ./skalla
+
 echo "== fuzz smoke (agg spec parser) =="
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/agg
 
@@ -42,6 +48,9 @@ go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
 
 echo "== fuzz smoke (vec vs row differential) =="
 go test -run '^$' -fuzz FuzzVecVsRow -fuzztime 10s ./internal/gmdj
+
+echo "== fuzz smoke (relation wire codec) =="
+go test -run '^$' -fuzz FuzzRelationWire -fuzztime 10s ./internal/relation
 
 echo "== examples =="
 for ex in quickstart ipflows tpcr cube multitier sql; do

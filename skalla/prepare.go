@@ -84,13 +84,9 @@ func (c *Cluster) StatusContext(ctx context.Context, relations ...string) []Site
 	out := make([]SiteStatus, len(c.clients))
 	for i, cl := range c.clients {
 		st := SiteStatus{ID: cl.SiteID(), Relations: map[string]int{}}
-		resp, err := cl.Call(ctx, &transport.Request{Op: transport.OpPing})
-		switch {
-		case err != nil:
+		if err := transport.Ping(ctx, cl); err != nil {
 			st.Err = err.Error()
-		case resp.Error() != nil:
-			st.Err = resp.Error().Error()
-		default:
+		} else {
 			st.Reachable = true
 			for _, rel := range relations {
 				info, err := cl.Call(ctx, &transport.Request{Op: transport.OpRelInfo, Rel: rel})

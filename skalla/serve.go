@@ -244,6 +244,10 @@ func (s *QueryService) CheckReady() (bool, string) {
 				continue
 			}
 			reachable++
+		} else if errors.Is(err, transport.ErrProtocol) {
+			// A site on another protocol version cannot answer any
+			// query, partial or not: never advertise readiness.
+			return false, fmt.Sprintf("site %s: %v", s.cluster.ids[i], err)
 		} else if firstDown == "" {
 			firstDown = fmt.Sprintf("site %s unreachable: %v", s.cluster.ids[i], err)
 		}
@@ -278,10 +282,7 @@ func (p *prober) ping(ctx context.Context) error {
 		}
 		p.cl = cl
 	}
-	resp, err := p.cl.Call(ctx, &transport.Request{Op: transport.OpPing})
-	if err == nil {
-		err = resp.Error()
-	}
+	err := transport.Ping(ctx, p.cl)
 	if err != nil {
 		p.cl.Close()
 		p.cl = nil

@@ -57,10 +57,9 @@ func (h *gateHandler) peakInflight() int {
 }
 
 func localDial(h Handler) func() (Client, error) {
-	n := 0
+	var n atomic.Int64 // the pool dials concurrently
 	return func() (Client, error) {
-		n++
-		return NewLocalClient(fmt.Sprintf("conn-%d", n), h, CostModel{}), nil
+		return NewLocalClient(fmt.Sprintf("conn-%d", n.Add(1)), h, CostModel{}), nil
 	}
 }
 
